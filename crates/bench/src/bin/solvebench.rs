@@ -72,13 +72,15 @@ fn json_pipeline(p: &PipelineStats) -> String {
             "{{\"flow_solves\":{},\"flow_phases\":{},\"flow_augmenting_paths\":{},",
             "\"lp_solves\":{},\"lp_pivots\":{},\"fm_vars_eliminated\":{},",
             "\"fm_constraints\":{},\"lp_cache_hits\":{},\"small_int_promotions\":{},",
-            "\"prefilter_hits\":{},\"lp_warm_starts\":{},\"dual_pivots\":{},",
+            "\"prefilter_hits\":{},\"prefilter_dedup\":{},\"prefilter_dominance\":{},",
+            "\"prefilter_interval\":{},\"prefilter_witness\":{},",
+            "\"lp_warm_starts\":{},\"dual_pivots\":{},",
             "\"regions_explored\":{},\"rounds\":{},",
             "\"cache_hits\":{},\"cache_misses\":{},\"threads_used\":{},",
             "\"simplify_micros\":{},\"solve_micros\":{},",
             "\"prune_micros\":{},\"region_lp_micros\":{},",
             "\"shadow_proposals\":{},\"shadow_certified\":{},\"shadow_fallbacks\":{},",
-            "\"certify_micros\":{},\"sequential_strategy\":{}}}"
+            "\"certify_micros\":{}}}"
         ),
         p.flow_solves,
         p.flow_phases,
@@ -89,7 +91,11 @@ fn json_pipeline(p: &PipelineStats) -> String {
         p.fm_constraints,
         p.lp_cache_hits,
         p.small_int_promotions,
-        p.prefilter_hits,
+        p.prefilter_hits(),
+        p.prefilter_dedup,
+        p.prefilter_dominance,
+        p.prefilter_interval,
+        p.prefilter_witness,
         p.lp_warm_starts,
         p.dual_pivots,
         p.regions_explored,
@@ -105,7 +111,6 @@ fn json_pipeline(p: &PipelineStats) -> String {
         p.shadow_certified,
         p.shadow_fallbacks,
         p.certify_micros,
-        p.sequential_strategy,
     )
 }
 
@@ -386,7 +391,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "    {{\"name\":\"{}\",\"strategy\":\"{}\",\"choices\":{},",
                 "\"seq_ms\":{:.3},\"par_ms\":{:.3},\"identical\":{},",
                 "\"speedup_vs_baseline\":{},",
-                "\"seq_pipeline\":{},\"par_pipeline\":{},\"passes\":{}}}{}\n"
+                "\"seq_pipeline\":{},\"par_pipeline\":{},\"par_work\":{},",
+                "\"passes\":{}}}{}\n"
             ),
             r.name,
             r.strategy,
@@ -399,6 +405,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap_or_else(|| "null".into()),
             json_pipeline(&r.seq_pipeline),
             json_pipeline(&r.par_pipeline),
+            json_pipeline(&r.par_pipeline.work_counters()),
             json_passes(&r.passes),
             if i + 1 == rows.len() { "" } else { "," },
         ));

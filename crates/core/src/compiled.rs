@@ -32,7 +32,7 @@
 //! grids, including points outside every region where both paths take
 //! the cheapest-cut fallback.
 
-use crate::dispatch::{DispatchError, Dispatcher};
+use crate::dispatch::{dispatch_counters, DispatchError, Dispatcher};
 use crate::netbuild::PartitionNetwork;
 use crate::parametric::ParametricPartition;
 use offload_flow::ParamCap;
@@ -206,9 +206,7 @@ impl CompiledDispatcher {
                 matched_region = true,
                 compiled = true,
             );
-            if offload_obs::enabled() {
-                offload_obs::counter("runtime.dispatch.compiled_matches").inc();
-            }
+            dispatch_counters().compiled_matches.inc();
             return Ok(i);
         }
         // Outside every region: cheapest known cut, earliest index on
@@ -238,9 +236,7 @@ impl CompiledDispatcher {
             matched_region = false,
             compiled = true,
         );
-        if offload_obs::enabled() {
-            offload_obs::counter("runtime.dispatch.compiled_fallbacks").inc();
-        }
+        dispatch_counters().compiled_fallbacks.inc();
         Ok(selected)
     }
 
@@ -253,9 +249,7 @@ impl CompiledDispatcher {
             if let Some(acc) = dot_i128(coeffs, *constant, ip) {
                 return acc.signum() as i32;
             }
-            if offload_obs::enabled() {
-                offload_obs::counter("runtime.dispatch.exact_sign_evals").inc();
-            }
+            dispatch_counters().exact_sign_evals.inc();
         }
         p.expr.eval(point).signum()
     }

@@ -10,10 +10,41 @@
 
 use crate::netbuild::PartitionNetwork;
 use crate::parametric::{cut_cost_at, ParametricPartition, Partition};
+use offload_obs::Counter;
 use offload_poly::Rational;
 use offload_symbolic::{Atom, DummyOrigin, ParamDict, SymExpr};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Registry handles of the `runtime.dispatch.*` counters, resolved once
+/// per process: dispatch is a per-point hot path and must not take the
+/// registry mutex per selection. Counted whether or not tracing is on.
+pub(crate) struct DispatchCounters {
+    /// Linear-scan selections whose point lay in a choice's region.
+    pub region_matches: Arc<Counter>,
+    /// Linear-scan selections that fell back to the cheapest cut.
+    pub fallbacks: Arc<Counter>,
+    /// Compiled selections whose point lay in a choice's region.
+    pub compiled_matches: Arc<Counter>,
+    /// Compiled selections that fell back to the cheapest cut.
+    pub compiled_fallbacks: Arc<Counter>,
+    /// Plane signs the compiled dispatcher evaluated in exact rationals
+    /// because the fixed-width `i128` path overflowed.
+    pub exact_sign_evals: Arc<Counter>,
+}
+
+/// The process-wide [`DispatchCounters`].
+pub(crate) fn dispatch_counters() -> &'static DispatchCounters {
+    static COUNTERS: OnceLock<DispatchCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| DispatchCounters {
+        region_matches: offload_obs::counter("runtime.dispatch.region_matches"),
+        fallbacks: offload_obs::counter("runtime.dispatch.fallbacks"),
+        compiled_matches: offload_obs::counter("runtime.dispatch.compiled_matches"),
+        compiled_fallbacks: offload_obs::counter("runtime.dispatch.compiled_fallbacks"),
+        exact_sign_evals: offload_obs::counter("runtime.dispatch.exact_sign_evals"),
+    })
+}
 
 /// How an annotated dummy is evaluated at dispatch time.
 #[derive(Debug, Clone)]
@@ -271,9 +302,7 @@ impl Dispatcher {
         for (i, choice) in partition.choices.iter().enumerate() {
             if choice.region.contains(&point) {
                 offload_obs::event!("runtime", "dispatch", choice = i, matched_region = true,);
-                if offload_obs::enabled() {
-                    offload_obs::counter("runtime.dispatch.region_matches").inc();
-                }
+                dispatch_counters().region_matches.inc();
                 return Ok(i);
             }
         }
@@ -295,9 +324,7 @@ impl Dispatcher {
             choice = selected,
             matched_region = false,
         );
-        if offload_obs::enabled() {
-            offload_obs::counter("runtime.dispatch.fallbacks").inc();
-        }
+        dispatch_counters().fallbacks.inc();
         Ok(selected)
     }
 

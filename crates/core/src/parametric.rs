@@ -24,12 +24,11 @@
 //! ([`SolveOptions::cut_cache`]).
 
 use crate::netbuild::{PartitionNetwork, Term};
-use offload_flow::{Capacity, FlowStats, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
-use offload_poly::{PolyStats, Polyhedron, ProjectionBudgetExceeded, Rational, Region};
+use offload_flow::{Capacity, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
+use offload_poly::{fan_out, worker_count, Polyhedron, ProjectionBudgetExceeded, Rational, Region};
 use offload_tcfg::{TaskId, Tcfg};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -389,16 +388,12 @@ pub fn solve_with_probes(
     // thread. (Worker threads are spawned fresh each round, so their
     // caches always start empty.)
     offload_poly::lp_cache_clear();
-    let poly_before = PolyStats::snapshot();
     let mut stats = SolveStats {
         nodes_before: pnet.net.node_count(),
         ..Default::default()
     };
     // Resolve the configured worker count once, up front, so every
-    // strategy reports the same number (`threads_used` used to be
-    // hard-wired to 1 on the dominance path even when the caller asked
-    // for more workers). A strategy that cannot use the workers says so
-    // via `sequential_strategy` instead of under-reporting the config.
+    // strategy reports the same number.
     let threads = match options.threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -421,12 +416,18 @@ pub fn solve_with_probes(
         enabled = options.simplify,
         nodes_in = pnet.net.node_count(),
     );
-    let (snet, mapping): (ParamNetwork, Vec<usize>) = if options.simplify {
-        pnet.net.simplify(&pnet.param_space)
-    } else {
-        (pnet.net.clone(), (0..pnet.net.node_count()).collect())
-    };
+    // Simplification's capacity comparisons solve LPs; they count
+    // towards this solve like the strategy's own work below.
+    let ((snet, mapping), simplify_work): ((ParamNetwork, Vec<usize>), _) =
+        offload_obs::measure(|| {
+            if options.simplify {
+                pnet.net.simplify(&pnet.param_space)
+            } else {
+                (pnet.net.clone(), (0..pnet.net.node_count()).collect())
+            }
+        });
     drop(simplify_span);
+    stats.pipeline.add(&simplify_work);
     stats.nodes_after = snet.node_count();
     stats.pipeline.simplify_micros = t_simplify.elapsed().as_micros() as u64;
     logger.log(LogLevel::Info, || {
@@ -440,39 +441,23 @@ pub fn solve_with_probes(
         )
     });
 
+    // Flow, LP, projection and cut-cache work is recorded where it
+    // happens, by whichever thread does it; `measure` collects exactly
+    // this solve's share (workers' records are merged back at join).
     let t_solve = Instant::now();
-    let result = if options.region_strategy == RegionStrategy::Dominance {
-        solve_dominance(
-            pnet, tcfg, n_items, &snet, &mapping, probes, threads, &mut stats,
-        )
-    } else {
-        explore_regions(
-            pnet, tcfg, n_items, options, threads, &logger, &snet, &mapping, &mut stats,
-        )
-    };
+    let (result, work) = offload_obs::measure(|| {
+        if options.region_strategy == RegionStrategy::Dominance {
+            solve_dominance(
+                pnet, tcfg, n_items, &snet, &mapping, probes, threads, &mut stats,
+            )
+        } else {
+            explore_regions(
+                pnet, tcfg, n_items, options, threads, &logger, &snet, &mapping, &mut stats,
+            )
+        }
+    });
     stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
-    let poly = PolyStats::snapshot().since(&poly_before);
-    stats.pipeline.absorb_poly_counts(
-        poly.lp_solves,
-        poly.lp_pivots,
-        poly.fm_vars_eliminated,
-        poly.fm_constraints,
-        poly.lp_cache_hits,
-        poly.small_int_promotions,
-    );
-    stats.pipeline.absorb_poly_extras(
-        poly.prefilter_hits(),
-        poly.lp_warm_starts,
-        poly.dual_pivots,
-        poly.prune_micros,
-        poly.region_lp_micros,
-    );
-    stats.pipeline.absorb_shadow_counts(
-        poly.shadow_proposals,
-        poly.shadow_certified,
-        poly.shadow_fallbacks,
-        poly.certify_micros,
-    );
+    stats.pipeline.add(&work);
 
     let mut choices = result?;
     if options.region_strategy == RegionStrategy::Exact && options.reduce_degeneracy {
@@ -490,8 +475,8 @@ pub fn solve_with_probes(
     if offload_obs::enabled() {
         solve_span.record("choices", choices.len());
         solve_span.record("rounds", stats.pipeline.rounds);
-        stats.pipeline.publish_metrics();
     }
+    stats.pipeline.publish_metrics();
     Ok(ParametricPartition { choices, stats })
 }
 
@@ -569,7 +554,6 @@ fn explore_regions(
             threads,
             cache.as_ref(),
             options.projection_budget,
-            stats,
         );
 
         // Sequential merge in piece order. Parallelism above only decided
@@ -639,11 +623,9 @@ fn explore_regions(
 }
 
 /// Explores every piece of the current round, returning results in piece
-/// order. With one thread (or one piece) the work runs inline; otherwise
-/// `threads` scoped workers drain an atomic index over the piece list,
-/// each owning a [`ParamSolver`] so repeated min-cuts share scratch
-/// buffers. Result slots are indexed by piece, so assembly order is
-/// independent of scheduling.
+/// order. Pieces fan out across up to `threads` workers, each owning a
+/// [`ParamSolver`] so repeated min-cuts share scratch buffers; with one
+/// worker the round runs inline.
 fn explore_round(
     snet: &ParamNetwork,
     param_space: &Polyhedron,
@@ -651,10 +633,9 @@ fn explore_round(
     threads: usize,
     cache: Option<&CutCache>,
     projection_budget: u64,
-    stats: &mut SolveStats,
 ) -> Vec<Option<Result<PieceResult, PieceError>>> {
     let n = pieces.len();
-    // Spawn scoped workers only when the round has ≥2 pieces to
+    // Spawn piece-level workers only when the round has ≥2 pieces to
     // distribute *and* enough estimated work to amortize thread setup.
     // Small rounds — the common tail of the exact strategy, where a
     // round re-queues one or two low-constraint slivers of X — run
@@ -664,102 +645,29 @@ fn explore_round(
     // computes a piece never changes what is computed, so output is
     // bit-identical either way.
     let workers = if n >= 2 && round_work_estimate(pieces) >= ROUND_SPAWN_MIN_WORK {
-        threads.min(n).min(hardware_threads())
+        worker_count(threads, n)
     } else {
         1
     };
-    let mut flow = FlowStats::default();
-    // (cache hits, cache misses).
-    let mut tally = (0u64, 0u64);
-    let mut results: Vec<Option<Result<PieceResult, PieceError>>> = Vec::with_capacity(n);
-    if workers <= 1 {
-        // All granted threads go to intra-piece projection work — this is
-        // the exact-strategy hot path, where rounds have a single piece
-        // and region-level parallelism has nothing to distribute.
-        let mut solver = snet.solver();
-        for piece in pieces {
-            results.push(explore_piece(
+    // Piece-level workers claim the thread budget first; whatever is
+    // left over parallelizes each worker's own projections.
+    let intra = (threads / workers).max(1);
+    fan_out(
+        n,
+        workers,
+        || snet.solver(),
+        |solver, i| {
+            explore_piece(
                 snet,
                 param_space,
-                piece,
-                &mut solver,
+                &pieces[i],
+                solver,
                 cache,
-                threads,
+                intra,
                 projection_budget,
-                &mut tally,
-            ));
-        }
-        flow = flow.add(&solver.stats());
-    } else {
-        results.resize_with(n, || None);
-        let slots: Vec<Mutex<Option<Result<PieceResult, PieceError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // Piece-level workers claim the thread budget first; whatever is
-        // left over parallelizes each worker's own projections.
-        let intra = (threads / workers).max(1);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut solver = snet.solver();
-                        let mut t = (0u64, 0u64);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let r = explore_piece(
-                                snet,
-                                param_space,
-                                &pieces[i],
-                                &mut solver,
-                                cache,
-                                intra,
-                                projection_budget,
-                                &mut t,
-                            );
-                            *lock_ignore_poison(&slots[i]) = r;
-                        }
-                        (solver.stats(), t)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok((f, t)) => {
-                        flow = flow.add(&f);
-                        tally.0 += t.0;
-                        tally.1 += t.1;
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        for (slot, result) in slots.into_iter().zip(results.iter_mut()) {
-            *result = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-        }
-    }
-    stats
-        .pipeline
-        .absorb_flow_counts(flow.solves, flow.phases, flow.augmenting_paths);
-    stats.pipeline.cache_hits += tally.0;
-    stats.pipeline.cache_misses += tally.1;
-    results
-}
-
-/// Worker threads the machine can actually run at once. Spawning more
-/// scoped workers than cores never helps — they time-slice one another
-/// and pay spawn/teardown plus cold thread-local caches for nothing —
-/// so every fan-out site caps its worker count here. Parallelism only
-/// decides who computes each slot, so the cap never changes results.
-fn hardware_threads() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
+            )
+        },
+    )
 }
 
 /// Minimum [`round_work_estimate`] before `explore_round` spawns
@@ -789,7 +697,6 @@ fn explore_piece(
     cache: Option<&CutCache>,
     intra_threads: usize,
     projection_budget: u64,
-    cache_tally: &mut (u64, u64),
 ) -> Option<Result<PieceResult, PieceError>> {
     let mut span = offload_obs::span!("parametric", "piece");
     let point = piece.sample()?;
@@ -807,7 +714,9 @@ fn explore_piece(
     let full_region = match cache {
         Some(cache) => {
             let cell = {
-                let mut map = lock_ignore_poison(cache);
+                // A poisoned lock only means a racing worker panicked (its
+                // panic is re-raised at join); memo entries stay valid.
+                let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
                 Arc::clone(
                     map.entry(mf.source_side.clone())
                         .or_insert_with(|| Arc::new(OnceLock::new())),
@@ -825,11 +734,13 @@ fn explore_piece(
                     project(intra_threads)
                 })
                 .clone();
-            if computed {
-                cache_tally.1 += 1;
-            } else {
-                cache_tally.0 += 1;
-            }
+            offload_obs::record(|s| {
+                if computed {
+                    s.cache_misses += 1;
+                } else {
+                    s.cache_hits += 1;
+                }
+            });
             span.record("cache_hit", !computed);
             match region {
                 Ok(r) => r,
@@ -853,13 +764,6 @@ fn explore_piece(
 enum PieceError {
     Unbounded(UnboundedFlow),
     Budget(ProjectionBudgetExceeded),
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock (the data is
-/// plain counters / memo entries — a worker panic cannot leave them in a
-/// harmful state, and the panic itself is re-raised by the scope join).
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn expand_cut(mapping: &[usize], simplified_side: &[bool], nodes: usize) -> Vec<bool> {
@@ -922,7 +826,6 @@ fn solve_dominance(
     use offload_poly::Rational;
     let space = &pnet.param_space;
     let mut cuts: Vec<(Vec<bool>, offload_poly::LinExpr)> = Vec::new();
-    let mut flow = FlowStats::default();
 
     // Ordered-merge step: adopt the concrete min-cut `mf` found at
     // `point` if its signature is new and it strictly beats every
@@ -966,7 +869,6 @@ fn solve_dominance(
                 absorb(snet, mf, p, &mut cuts);
             }
         }
-        flow = flow.add(&solver.stats());
     }
 
     // Refinement rounds: probe each dominance region (its interior sample
@@ -1001,15 +903,19 @@ fn solve_dominance(
                 }
             }
         }
-        let workers = if points.len() >= 2
-            && threads >= 2
-            && points.len() * snet.arcs().len().max(1) >= PROBE_SPAWN_MIN_WORK
-        {
-            threads.min(points.len()).min(hardware_threads())
+        // The min-cut solves fan out only when the batch is big enough to
+        // amortize thread setup.
+        let workers = if points.len() * snet.arcs().len().max(1) >= PROBE_SPAWN_MIN_WORK {
+            threads
         } else {
             1
         };
-        let solved = solve_probe_batch(snet, &points, workers, &mut flow);
+        let solved = fan_out(
+            points.len(),
+            workers,
+            || snet.solver(),
+            |solver, i| solver.solve_at(&points[i]),
+        );
         let mut improved = false;
         for (q, r) in points.iter().zip(solved) {
             let mf = r.map_err(SolveError::Unbounded)?;
@@ -1031,18 +937,23 @@ fn solve_dominance(
         .enumerate()
         .map(|(i, r)| i * r.constraints().len())
         .sum();
-    let workers = if regions.len() >= 2 && threads >= 2 && est >= REGION_SPAWN_MIN_WORK {
-        threads.min(regions.len()).min(hardware_threads())
+    let workers = if est >= REGION_SPAWN_MIN_WORK {
+        threads
     } else {
         1
     };
-    let disjoint: Vec<Region> = par_map_indexed(regions.len(), workers, |i| {
-        let mut region = Region::from(regions[i].clone());
-        for earlier in &regions[..i] {
-            region = region.subtract(earlier);
-        }
-        region
-    });
+    let disjoint: Vec<Region> = fan_out(
+        regions.len(),
+        workers,
+        || (),
+        |_, i| {
+            let mut region = Region::from(regions[i].clone());
+            for earlier in &regions[..i] {
+                region = region.subtract(earlier);
+            }
+            region
+        },
+    );
     let mut out = Vec::new();
     for (((side, _), region_poly), region) in cuts.iter().zip(regions).zip(disjoint) {
         let cut = expand_cut(mapping, side, pnet.net.node_count());
@@ -1059,9 +970,6 @@ fn solve_dominance(
     // (Degeneracy reduction is unnecessary here — dominance regions are
     // already one-per-cut.)
     out.retain(|p| !p.region.is_empty());
-    stats
-        .pipeline
-        .absorb_flow_counts(flow.solves, flow.phases, flow.augmenting_paths);
     stats.pipeline.regions_explored += out.len() as u64;
     return Ok(out);
 
@@ -1071,124 +979,29 @@ fn solve_dominance(
         threads: usize,
     ) -> Vec<offload_poly::Polyhedron> {
         let est = cuts.len() * (space.constraints().len() + cuts.len());
-        let workers = if cuts.len() >= 2 && threads >= 2 && est >= REGION_SPAWN_MIN_WORK {
-            threads.min(cuts.len()).min(hardware_threads())
+        let workers = if est >= REGION_SPAWN_MIN_WORK {
+            threads
         } else {
             1
         };
-        par_map_indexed(cuts.len(), workers, |i| {
-            let ei = &cuts[i].1;
-            let mut r = space.clone();
-            for (j, (_, ej)) in cuts.iter().enumerate() {
-                if i == j {
-                    continue;
+        fan_out(
+            cuts.len(),
+            workers,
+            || (),
+            |_, i| {
+                let ei = &cuts[i].1;
+                let mut r = space.clone();
+                for (j, (_, ej)) in cuts.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    // val_i <= val_j  <=>  ej - ei >= 0.
+                    r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
                 }
-                // val_i <= val_j  <=>  ej - ei >= 0.
-                r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
-            }
-            r.reduce_redundancy()
-        })
+                r.reduce_redundancy()
+            },
+        )
     }
-}
-
-/// Solves the concrete min-cut at every probe point. With `workers >= 2`
-/// the points fan out across scoped threads (each owning a
-/// [`ParamSolver`] so repeated solves share scratch buffers) into
-/// point-indexed slots; otherwise the batch runs inline on one solver.
-/// Results come back in point order and the per-worker flow counters are
-/// summed into `flow`, so answers and counters alike are independent of
-/// scheduling.
-fn solve_probe_batch(
-    snet: &ParamNetwork,
-    points: &[Vec<Rational>],
-    workers: usize,
-    flow: &mut FlowStats,
-) -> Vec<Result<MaxFlow, UnboundedFlow>> {
-    let n = points.len();
-    if workers <= 1 || n <= 1 {
-        let mut solver = snet.solver();
-        let out = points.iter().map(|q| solver.solve_at(q)).collect();
-        *flow = flow.add(&solver.stats());
-        return out;
-    }
-    let slots: Vec<Mutex<Option<Result<MaxFlow, UnboundedFlow>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut solver = snet.solver();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        *lock_ignore_poison(&slots[i]) = Some(solver.solve_at(&points[i]));
-                    }
-                    solver.stats()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(f) => *flow = flow.add(&f),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| lock_into_inner(m).expect("every probe slot is filled before the scope joins"))
-        .collect()
-}
-
-/// Runs `n` independent jobs and collects their results in job order.
-/// With fewer than two workers (or jobs) everything runs inline;
-/// otherwise `workers` scoped threads drain an atomic index into
-/// job-indexed slots. Each job must be a pure function of its index, so
-/// which thread computes which slot never affects the output —
-/// parallelism here is an execution detail, not part of the algorithm.
-fn par_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *lock_ignore_poison(&slots[i]) = Some(f(i));
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| lock_into_inner(m).expect("every job slot is filled before the scope joins"))
-        .collect()
-}
-
-/// Consumes a mutex, recovering the value from a poisoned lock (see
-/// [`lock_ignore_poison`]).
-fn lock_into_inner<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 /// §5.2: drop choice `i` when another choice's full optimality region

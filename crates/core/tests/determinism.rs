@@ -131,7 +131,6 @@ fn threads_used_reports_the_configured_worker_count() {
         );
         let p = a.pipeline_stats();
         assert_eq!(p.threads_used as usize, threads);
-        assert!(!p.sequential_strategy, "the exact engine is parallel");
     }
     let dom = analyze_with(
         PROGRAMS[0],
@@ -145,10 +144,6 @@ fn threads_used_reports_the_configured_worker_count() {
     assert_eq!(
         p.threads_used, 2,
         "dominance still reports the configured count"
-    );
-    assert!(
-        !p.sequential_strategy,
-        "dominance now fans its LP storm across the pool"
     );
 }
 
@@ -219,14 +214,18 @@ fn incremental_prune_counters_fire_and_are_thread_count_independent() {
         runs.push((threads, a.pipeline_stats(), a.partition.choices.clone()));
     }
     let (_, first, choices) = &runs[0];
-    assert!(first.prefilter_hits > 0, "pre-filter ladder never fired");
+    assert!(first.prefilter_hits() > 0, "pre-filter ladder never fired");
     assert!(first.lp_warm_starts > 0, "incremental LP never consulted");
     assert!(first.dual_pivots > 0, "dual-simplex restore never ran");
     assert!(first.prune_micros > 0, "prune time must be accounted");
     for (threads, stats, ch) in &runs[1..] {
         assert_eq!(choices, ch, "threads={threads}: partition diverged");
         for (name, a, b) in [
-            ("prefilter_hits", first.prefilter_hits, stats.prefilter_hits),
+            (
+                "prefilter_hits",
+                first.prefilter_hits(),
+                stats.prefilter_hits(),
+            ),
             ("lp_warm_starts", first.lp_warm_starts, stats.lp_warm_starts),
             ("dual_pivots", first.dual_pivots, stats.dual_pivots),
             ("lp_pivots", first.lp_pivots, stats.lp_pivots),
@@ -253,4 +252,36 @@ fn pipeline_stats_are_populated_on_the_exact_path() {
     assert!(p.rounds > 0, "worklist rounds must be counted");
     assert!(p.regions_explored as usize >= a.partition.choices.len());
     assert_eq!(p.threads_used, 2);
+}
+
+#[test]
+fn concurrent_analyses_report_exactly_their_solo_work() {
+    // Work counters are recorded by the thread that does the work, into
+    // the solve that owns it, so two analyses running at once in one
+    // process must each report exactly what they report alone.
+    let bench = |name: &str| {
+        offload_benchmarks::all()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("stock benchmark")
+    };
+    let (rawcaudio, fft) = (bench("rawcaudio"), bench("fft"));
+    let run = |b: &offload_benchmarks::Benchmark| {
+        b.analyze_with(SolveOptions {
+            threads: 2,
+            ..Default::default()
+        })
+        .expect("analysis succeeds")
+        .pipeline_stats()
+        .work_counters()
+    };
+    let solo = (run(&rawcaudio), run(&fft));
+    let together = std::thread::scope(|s| {
+        let a = s.spawn(|| run(&rawcaudio));
+        let b = s.spawn(|| run(&fft));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(solo.0.lp_solves > 0 && solo.1.lp_solves > 0);
+    assert_eq!(solo.0, together.0, "rawcaudio picked up fft's work");
+    assert_eq!(solo.1, together.1, "fft picked up rawcaudio's work");
 }

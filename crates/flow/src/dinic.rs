@@ -59,32 +59,6 @@ impl fmt::Display for Capacity {
     }
 }
 
-/// Work counters of a [`DinicSolver`], accumulated across solves.
-///
-/// These feed the pipeline-wide statistics (`offload-core`'s
-/// `PipelineStats`): they measure how much min-cut work a parametric
-/// solve performed, independent of wall-clock noise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Completed max-flow solves.
-    pub solves: u64,
-    /// BFS level phases across all solves.
-    pub phases: u64,
-    /// Augmenting paths pushed across all solves.
-    pub augmenting_paths: u64,
-}
-
-impl FlowStats {
-    /// Field-wise sum (for merging per-worker counters).
-    pub fn add(&self, other: &FlowStats) -> FlowStats {
-        FlowStats {
-            solves: self.solves + other.solves,
-            phases: self.phases + other.phases,
-            augmenting_paths: self.augmenting_paths + other.augmenting_paths,
-        }
-    }
-}
-
 /// A directed flow network with a single source and sink.
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
@@ -233,7 +207,6 @@ pub struct DinicSolver {
     iter: Vec<usize>,
     seen: Vec<bool>,
     stack: Vec<usize>,
-    stats: FlowStats,
 }
 
 impl DinicSolver {
@@ -257,7 +230,6 @@ impl DinicSolver {
             iter: vec![0; nodes],
             seen: vec![false; nodes],
             stack: Vec::new(),
-            stats: FlowStats::default(),
         }
     }
 
@@ -306,11 +278,6 @@ impl DinicSolver {
             assert!(!c.is_negative(), "negative capacity");
         }
         self.caps[arc] = cap;
-    }
-
-    /// Work counters accumulated since construction.
-    pub fn stats(&self) -> FlowStats {
-        self.stats
     }
 
     /// Unboundedness check: an s-t path using only infinite arcs. Reuses
@@ -370,20 +337,23 @@ impl DinicSolver {
             nodes = self.nodes,
             arcs = self.caps.len(),
         );
-        let before = self.stats;
-        let result = self.solve_inner();
+        // (BFS phases, augmenting paths) of this solve.
+        let mut work = (0u64, 0u64);
+        let result = self.solve_inner(&mut work);
+        offload_obs::record(|s| {
+            s.flow_solves += u64::from(result.is_ok());
+            s.flow_phases += work.0;
+            s.flow_augmenting_paths += work.1;
+        });
         if offload_obs::enabled() {
-            span.record("phases", self.stats.phases - before.phases);
-            span.record(
-                "augmenting_paths",
-                self.stats.augmenting_paths - before.augmenting_paths,
-            );
+            span.record("phases", work.0);
+            span.record("augmenting_paths", work.1);
             span.record("ok", result.is_ok());
         }
         result
     }
 
-    fn solve_inner(&mut self) -> Result<MaxFlow, UnboundedFlow> {
+    fn solve_inner(&mut self, work: &mut (u64, u64)) -> Result<MaxFlow, UnboundedFlow> {
         if self.has_infinite_path() {
             return Err(UnboundedFlow);
         }
@@ -417,7 +387,7 @@ impl DinicSolver {
             if self.level[self.sink] == usize::MAX {
                 break;
             }
-            self.stats.phases += 1;
+            work.0 += 1;
             // Blocking flow via iterative DFS with edge iterators.
             self.iter.iter_mut().for_each(|i| *i = 0);
             loop {
@@ -484,7 +454,7 @@ impl DinicSolver {
                         *c = &*c + &b;
                     }
                 }
-                self.stats.augmenting_paths += 1;
+                work.1 += 1;
                 total += &b;
             }
         }
@@ -521,7 +491,6 @@ impl DinicSolver {
             })
             .collect();
 
-        self.stats.solves += 1;
         Ok(MaxFlow {
             value: total,
             arc_flow,
@@ -668,9 +637,11 @@ mod tests {
         n.add_arc(0, 1, fin(2));
         n.add_arc(1, 2, fin(5));
         let mut solver = n.solver();
+        let mut st = offload_obs::PipelineStats::default();
         for c in [1i64, 4, 9] {
             solver.set_capacity(0, fin(c));
-            let reused = solver.solve().unwrap();
+            let (reused, work) = offload_obs::measure(|| solver.solve().unwrap());
+            st.add(&work);
             let mut fresh_net = FlowNetwork::new(3, 0, 2);
             fresh_net.add_arc(0, 1, fin(c));
             fresh_net.add_arc(1, 2, fin(5));
@@ -679,9 +650,8 @@ mod tests {
             assert_eq!(reused.source_side, fresh.source_side, "c={c}");
             assert_eq!(reused.arc_flow, fresh.arc_flow, "c={c}");
         }
-        let st = solver.stats();
-        assert_eq!(st.solves, 3);
-        assert!(st.phases >= 3 && st.augmenting_paths >= 3);
+        assert_eq!(st.flow_solves, 3);
+        assert!(st.flow_phases >= 3 && st.flow_augmenting_paths >= 3);
     }
 
     #[test]

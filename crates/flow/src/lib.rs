@@ -35,5 +35,5 @@
 mod dinic;
 mod network;
 
-pub use dinic::{Capacity, DinicSolver, FlowNetwork, FlowStats, MaxFlow, UnboundedFlow};
+pub use dinic::{Capacity, DinicSolver, FlowNetwork, MaxFlow, UnboundedFlow};
 pub use network::{ParamArc, ParamCap, ParamNetwork, ParamSolver};

@@ -12,7 +12,7 @@
 //! * [`ParamNetwork::simplify`] — the §5.4 node-merging heuristic that
 //!   strips the redundancy introduced by infinite constraint arcs.
 
-use crate::dinic::{Capacity, DinicSolver, FlowStats, MaxFlow, UnboundedFlow};
+use crate::dinic::{Capacity, DinicSolver, MaxFlow, UnboundedFlow};
 use offload_poly::{Constraint, LinExpr, Polyhedron, ProjectionBudgetExceeded, Rational};
 
 /// A parametric capacity: an affine function of the parameters, or `+∞`.
@@ -625,11 +625,6 @@ impl ParamSolver {
             self.solver.set_capacity(i, c.eval(point));
         }
         self.solver.solve()
-    }
-
-    /// Work counters accumulated across all solves on this solver.
-    pub fn stats(&self) -> FlowStats {
-        self.solver.stats()
     }
 }
 

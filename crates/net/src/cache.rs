@@ -10,6 +10,9 @@
 //! source shard's lock across [`Analysis::from_source`] — concurrent
 //! requests for the same new program then collapse into one analysis
 //! (the losers find the entry on wake) instead of a thundering herd.
+//! A source entry keeps its source text: the 64-bit key only picks the
+//! slot, and a hit requires the text to match, so two programs whose
+//! keys collide never share an analysis.
 
 use crate::protocol::fingerprint;
 use offload_core::{Analysis, AnalysisOptions, AnalyzeError};
@@ -45,11 +48,15 @@ impl<K> Default for Shard<K> {
     }
 }
 
+/// A source-cache entry: the program text it was compiled from, and the
+/// analysis.
+type SourceEntry = (Box<str>, Arc<Analysis>);
+
 /// The sharded plan cache. Cheap to share: clone the [`Arc`] it is
 /// handed out in.
 pub struct PlanCache {
     /// Keyed by FNV-1a of the source text; guards the analyze path.
-    by_source: Vec<Mutex<Shard<Arc<Analysis>>>>,
+    by_source: Vec<Mutex<Shard<SourceEntry>>>,
     /// Keyed by analysis fingerprint; guards the dispatch path.
     by_fp: Vec<Mutex<Shard<Arc<Analysis>>>>,
     analyze_hits: AtomicU64,
@@ -105,7 +112,7 @@ impl PlanCache {
         }
     }
 
-    fn source_shard(&self, key: u64) -> &Mutex<Shard<Arc<Analysis>>> {
+    fn source_shard(&self, key: u64) -> &Mutex<Shard<SourceEntry>> {
         &self.by_source[(key % self.by_source.len() as u64) as usize]
     }
 
@@ -140,16 +147,22 @@ impl PlanCache {
         let key = fnv1a(source.as_bytes());
         // Lock held across `from_source` on purpose: see module docs.
         let mut shard = self.source_shard(key).lock().unwrap();
-        if let Some(found) = shard.map.get(&key) {
-            self.analyze_hits.fetch_add(1, Ordering::Relaxed);
-            self.m_analyze_hits.inc();
-            let fp = fingerprint(found);
-            return Ok((Arc::clone(found), fp, true));
+        if let Some((text, found)) = shard.map.get(&key) {
+            // A key collision with a different program is a miss; the new
+            // program's analysis then takes over the slot.
+            if **text == *source {
+                self.analyze_hits.fetch_add(1, Ordering::Relaxed);
+                self.m_analyze_hits.inc();
+                let fp = fingerprint(found);
+                return Ok((Arc::clone(found), fp, true));
+            }
         }
         self.analyze_misses.fetch_add(1, Ordering::Relaxed);
         self.m_analyze_misses.inc();
         let analysis = Arc::new(Analysis::from_source(source, options)?);
-        shard.map.insert(key, Arc::clone(&analysis));
+        shard
+            .map
+            .insert(key, (source.into(), Arc::clone(&analysis)));
         // Source shards and fingerprint shards are separate lock pools
         // and always taken in this order, so no cycle is possible.
         let fp = self.register(Arc::clone(&analysis));
@@ -207,6 +220,28 @@ mod tests {
         assert_eq!((s.analyze_hits, s.analyze_misses), (1, 1));
         assert_eq!((s.dispatch_hits, s.dispatch_misses), (1, 1));
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn colliding_source_key_is_a_miss_not_a_foreign_plan() {
+        const OTHER: &str = "int g(int k) { return k + 1; }
+            void main(int n) { output(g(n)); }";
+        let cache = PlanCache::new(2);
+        let (planted, planted_fp, _) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
+        // Plant SRC's entry under OTHER's key, as a hash collision would.
+        let key = fnv1a(OTHER.as_bytes());
+        cache
+            .source_shard(key)
+            .lock()
+            .unwrap()
+            .map
+            .insert(key, (SRC.into(), planted));
+        let (got, fp, hit) = cache.analyze(OTHER, AnalysisOptions::default()).unwrap();
+        let want = Analysis::from_source(OTHER, AnalysisOptions::default()).unwrap();
+        assert!(!hit, "a colliding key must not count as a hit");
+        assert_ne!(fp, planted_fp);
+        assert_eq!(fp, fingerprint(&want));
+        assert_eq!(fingerprint(&got), fingerprint(&want));
     }
 
     #[test]

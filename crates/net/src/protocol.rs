@@ -56,8 +56,12 @@ use std::io::{Read, Write};
 /// timing `certify_micros`;
 /// v9: histogram summaries inside [`WireMsg::StatsReport`] snapshots
 /// gain a `p999` estimate, surfacing the tail the readiness reactor
-/// targets.)
-pub const PROTOCOL_VERSION: u8 = 9;
+/// targets;
+/// v10: [`PipelineStats`] carries the four pre-filter stages
+/// (`prefilter_dedup`, `prefilter_dominance`, `prefilter_interval`,
+/// `prefilter_witness`) in place of their sum, and drops
+/// `sequential_strategy`.)
+pub const PROTOCOL_VERSION: u8 = 10;
 
 /// Upper bound on a single frame's payload (a corruption guard, not a
 /// tight limit).
@@ -380,7 +384,10 @@ fn put_pipeline(buf: &mut Vec<u8>, s: &PipelineStats) {
     put_uv(buf, s.threads_used as u64);
     put_uv(buf, s.simplify_micros);
     put_uv(buf, s.solve_micros);
-    put_uv(buf, s.prefilter_hits);
+    put_uv(buf, s.prefilter_dedup);
+    put_uv(buf, s.prefilter_dominance);
+    put_uv(buf, s.prefilter_interval);
+    put_uv(buf, s.prefilter_witness);
     put_uv(buf, s.lp_warm_starts);
     put_uv(buf, s.dual_pivots);
     put_uv(buf, s.prune_micros);
@@ -389,7 +396,6 @@ fn put_pipeline(buf: &mut Vec<u8>, s: &PipelineStats) {
     put_uv(buf, s.shadow_certified);
     put_uv(buf, s.shadow_fallbacks);
     put_uv(buf, s.certify_micros);
-    buf.push(s.sequential_strategy as u8);
 }
 
 fn put_span_summary(buf: &mut Vec<u8>, s: &SpanSummary) {
@@ -693,7 +699,10 @@ impl<'a> Cursor<'a> {
             threads_used: self.u32v()?,
             simplify_micros: self.uv()?,
             solve_micros: self.uv()?,
-            prefilter_hits: self.uv()?,
+            prefilter_dedup: self.uv()?,
+            prefilter_dominance: self.uv()?,
+            prefilter_interval: self.uv()?,
+            prefilter_witness: self.uv()?,
             lp_warm_starts: self.uv()?,
             dual_pivots: self.uv()?,
             prune_micros: self.uv()?,
@@ -702,11 +711,6 @@ impl<'a> Cursor<'a> {
             shadow_certified: self.uv()?,
             shadow_fallbacks: self.uv()?,
             certify_micros: self.uv()?,
-            sequential_strategy: match self.byte()? {
-                0 => false,
-                1 => true,
-                t => return Err(NetError::protocol(format!("bad strategy flag {t}"))),
-            },
         })
     }
 

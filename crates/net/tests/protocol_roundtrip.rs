@@ -174,7 +174,10 @@ fn arb_pipeline(rng: &mut Rng) -> PipelineStats {
         threads_used: 1 + rng.u32(63),
         simplify_micros: rng.next() % 100_000_000,
         solve_micros: rng.next() % 100_000_000,
-        prefilter_hits: rng.next() % 1_000_000,
+        prefilter_dedup: rng.next() % 1_000_000,
+        prefilter_dominance: rng.next() % 1_000_000,
+        prefilter_interval: rng.next() % 1_000_000,
+        prefilter_witness: rng.next() % 1_000_000,
         lp_warm_starts: rng.next() % 1_000_000,
         dual_pivots: rng.next() % 10_000_000,
         prune_micros: rng.next() % 100_000_000,
@@ -183,7 +186,6 @@ fn arb_pipeline(rng: &mut Rng) -> PipelineStats {
         shadow_certified: rng.next() % 10_000_000,
         shadow_fallbacks: rng.next() % 1_000_000,
         certify_micros: rng.next() % 100_000_000,
-        sequential_strategy: rng.bool(),
     }
 }
 

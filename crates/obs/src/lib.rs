@@ -20,7 +20,9 @@
 //!   registry of named counters, gauges, and log-scale latency histograms
 //!   with p50/p90/p99 summaries. The registry subsumes the pipeline's
 //!   flat [`PipelineStats`] record, which lives here and is re-exported
-//!   by `offload-core` so every existing field keeps working.
+//!   by `offload-core`. Work counters reach that record through a
+//!   per-thread sink: [`record`] at the site of the work, [`measure`]
+//!   around the unit of work that owns it.
 //! * **Exporters** ([`export`]) — Chrome trace-event JSON (open it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, one track per
 //!   worker thread), a JSON-lines event stream, and a human-readable
@@ -50,7 +52,7 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSummary, MetricValue, MetricsSnapshot,
 };
-pub use pipeline::PipelineStats;
+pub use pipeline::{measure, record, PipelineStats};
 pub use recorder::{
     begin_span, enabled, instant_event, log_event, now_us, reset, set_enabled, snapshot,
     span_summary, Event, EventKind, FieldValue, Level, SpanGuard, SpanStat, SpanSummary,

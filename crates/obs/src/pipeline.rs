@@ -1,13 +1,57 @@
-//! The unified pipeline work-counter record.
+//! The unified pipeline work-counter record and the per-thread sink
+//! that fills it.
 //!
-//! [`PipelineStats`] used to live in `offload-core`; it moved here so the
-//! observability layer owns the one flat record every layer reports into,
-//! and `offload-core` re-exports it unchanged (every existing field and
-//! accessor keeps working). The producing layers fold their own counter
-//! blocks in through the plain-integer `absorb_*` methods, keeping this
-//! crate dependency-free.
+//! [`PipelineStats`] is the one flat record every layer reports into;
+//! `offload-core` re-exports it. The producing layers (Dinic in
+//! `offload-flow`, LP and projection in `offload-poly`, the engine in
+//! `offload-core`) add their work with [`record`] at the site where it
+//! happens, into an accumulator owned by the calling thread. A caller
+//! that wants one unit of work's share wraps it in [`measure`]. Work that
+//! crosses threads is merged back by the one scoped fan-out helper in
+//! `offload-poly`, which runs each worker under [`measure`] and records
+//! the worker's share into its caller's scope after join.
 
+use std::cell::RefCell;
 use std::fmt;
+
+thread_local! {
+    /// This thread's open work record: [`record`] adds into it and
+    /// [`measure`] carves out one scope's share.
+    static SINK: RefCell<PipelineStats> = RefCell::new(PipelineStats::default());
+}
+
+/// Adds work done on this thread to the innermost open [`measure`] scope
+/// (or to the thread's outermost record when none is open).
+///
+/// `f` must not itself call [`record`] or [`measure`].
+pub fn record(f: impl FnOnce(&mut PipelineStats)) {
+    SINK.with(|s| f(&mut s.borrow_mut()));
+}
+
+/// Runs `f` and returns exactly the work recorded on this thread while it
+/// ran, including worker records merged back into this thread by
+/// [`record`]. The share is then added to the enclosing scope too, so
+/// nested measurements stay inclusive. Work done by other threads is
+/// never included, so the result is exact under any concurrency.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, PipelineStats) {
+    /// Restores the enclosing scope with this scope's share added, also
+    /// when `f` unwinds.
+    struct Restore(PipelineStats);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SINK.with(|s| {
+                let mut s = s.borrow_mut();
+                let inner = std::mem::replace(&mut *s, self.0);
+                s.add(&inner);
+            });
+        }
+    }
+    let restore = Restore(SINK.with(|s| s.take()));
+    let out = f();
+    let inner = SINK.with(|s| *s.borrow());
+    drop(restore);
+    (out, inner)
+}
 
 /// Unified work counters across every layer of the parametric solve
 /// pipeline: Dinic effort in `offload-flow`, LP / projection effort in
@@ -15,12 +59,12 @@ use std::fmt;
 /// timings) in `offload-core`.
 ///
 /// All fields are plain integers so the struct travels unchanged through
-/// bench reports and the net protocol's varint wire format. The poly
-/// counters are process-wide deltas taken around the solve — exact totals
-/// for a single solve, approximate attribution when several solves run in
-/// one process concurrently. Counter values may legitimately differ
-/// between runs with different thread counts or cache settings; the
-/// *partitioning output* never does.
+/// bench reports and the net protocol's varint wire format. A solve's
+/// record is exact: every counter is recorded by the thread that did the
+/// work, into that solve's [`measure`] scope, so concurrent solves in one
+/// process never see each other's work. Counter values may legitimately
+/// differ between runs with different thread counts or cache settings;
+/// the *partitioning output* never does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Max-flow solves performed (concrete min-cuts at sample points).
@@ -56,14 +100,21 @@ pub struct PipelineStats {
     /// Cut-signature cache misses (projections actually performed).
     pub cache_misses: u64,
     /// Worker threads the engine was configured with (the resolved
-    /// count, uniform across strategies — see `sequential_strategy` for
-    /// whether the strategy could actually use them).
+    /// count, uniform across strategies).
     pub threads_used: u32,
-    /// Implication checks discharged by the poly layer's syntactic
-    /// pre-filter ladder (canonical-form dedup + dominance sweep +
-    /// interval propagation) without any LP work. Deterministic across
-    /// thread counts.
-    pub prefilter_hits: u64,
+    /// Exact syntactic duplicates dropped by the redundancy pipeline's
+    /// canonical-form hashing pre-filter.
+    pub prefilter_dedup: u64,
+    /// Parallel half-spaces dropped by the syntactic dominance sweep
+    /// (same canonical direction, provably weaker bound).
+    pub prefilter_dominance: u64,
+    /// Implication checks discharged by interval/bound propagation
+    /// without touching the LP.
+    pub prefilter_interval: u64,
+    /// Implication checks answered "not implied" by evaluating the
+    /// candidate at a cached vertex of the kept set (a negative value at
+    /// any feasible point disproves implication without an LP).
+    pub prefilter_witness: u64,
     /// Implication checks answered by the warm-started incremental LP
     /// (primal phase-2 re-solved from the previous feasible basis instead
     /// of a from-scratch two-phase solve). Deterministic across thread
@@ -79,11 +130,6 @@ pub struct PipelineStats {
     /// Wall-clock microseconds inside polyhedron emptiness LPs (the
     /// region-subtraction hot path), summed across worker threads.
     pub region_lp_micros: u64,
-    /// `true` when the selected region strategy runs sequentially by
-    /// design, so `threads_used` reflects the configuration rather than
-    /// actual parallel execution. No built-in strategy sets this any
-    /// more (dominance probing now fans out too); external engines may.
-    pub sequential_strategy: bool,
     /// Entering-column proposals made by the f64 shadow simplex (one per
     /// shadow-guided pivot search). Deterministic across thread counts:
     /// the shadow is a pure function of the exact tableau, and cached LP
@@ -110,62 +156,48 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Folds flow-layer counters into this record.
-    pub fn absorb_flow_counts(&mut self, solves: u64, phases: u64, augmenting_paths: u64) {
-        self.flow_solves += solves;
-        self.flow_phases += phases;
-        self.flow_augmenting_paths += augmenting_paths;
+    /// Adds `other` into this record field by field (`threads_used`
+    /// takes the larger value: it is a configuration, not work). Sums
+    /// commute, so merging worker records never depends on join order.
+    pub fn add(&mut self, other: &PipelineStats) {
+        self.flow_solves += other.flow_solves;
+        self.flow_phases += other.flow_phases;
+        self.flow_augmenting_paths += other.flow_augmenting_paths;
+        self.lp_solves += other.lp_solves;
+        self.lp_pivots += other.lp_pivots;
+        self.fm_vars_eliminated += other.fm_vars_eliminated;
+        self.fm_constraints += other.fm_constraints;
+        self.lp_cache_hits += other.lp_cache_hits;
+        self.small_int_promotions += other.small_int_promotions;
+        self.regions_explored += other.regions_explored;
+        self.rounds += other.rounds;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.threads_used = self.threads_used.max(other.threads_used);
+        self.prefilter_dedup += other.prefilter_dedup;
+        self.prefilter_dominance += other.prefilter_dominance;
+        self.prefilter_interval += other.prefilter_interval;
+        self.prefilter_witness += other.prefilter_witness;
+        self.lp_warm_starts += other.lp_warm_starts;
+        self.dual_pivots += other.dual_pivots;
+        self.prune_micros += other.prune_micros;
+        self.region_lp_micros += other.region_lp_micros;
+        self.shadow_proposals += other.shadow_proposals;
+        self.shadow_certified += other.shadow_certified;
+        self.shadow_fallbacks += other.shadow_fallbacks;
+        self.certify_micros += other.certify_micros;
+        self.simplify_micros += other.simplify_micros;
+        self.solve_micros += other.solve_micros;
     }
 
-    /// Folds poly-layer counters into this record.
-    #[allow(clippy::too_many_arguments)]
-    pub fn absorb_poly_counts(
-        &mut self,
-        lp_solves: u64,
-        lp_pivots: u64,
-        fm_vars_eliminated: u64,
-        fm_constraints: u64,
-        lp_cache_hits: u64,
-        small_int_promotions: u64,
-    ) {
-        self.lp_solves += lp_solves;
-        self.lp_pivots += lp_pivots;
-        self.fm_vars_eliminated += fm_vars_eliminated;
-        self.fm_constraints += fm_constraints;
-        self.lp_cache_hits += lp_cache_hits;
-        self.small_int_promotions += small_int_promotions;
-    }
-
-    /// Folds the poly layer's incremental-projection counters (added with
-    /// the warm-started redundancy pipeline) into this record.
-    pub fn absorb_poly_extras(
-        &mut self,
-        prefilter_hits: u64,
-        lp_warm_starts: u64,
-        dual_pivots: u64,
-        prune_micros: u64,
-        region_lp_micros: u64,
-    ) {
-        self.prefilter_hits += prefilter_hits;
-        self.lp_warm_starts += lp_warm_starts;
-        self.dual_pivots += dual_pivots;
-        self.prune_micros += prune_micros;
-        self.region_lp_micros += region_lp_micros;
-    }
-
-    /// Folds the poly layer's float-shadow certification counters into
-    /// this record.
-    pub fn absorb_shadow_counts(
-        &mut self,
-        proposals: u64,
-        certified: u64,
-        fallbacks: u64,
-        certify_micros: u64,
-    ) {
-        self.shadow_proposals += proposals;
-        self.shadow_certified += certified;
-        self.shadow_fallbacks += fallbacks;
-        self.certify_micros += certify_micros;
+    /// Implication checks the pre-filter ladder discharged without an LP
+    /// solve (dedup + dominance + interval + witness points).
+    /// Deterministic across thread counts.
+    pub fn prefilter_hits(&self) -> u64 {
+        self.prefilter_dedup
+            + self.prefilter_dominance
+            + self.prefilter_interval
+            + self.prefilter_witness
     }
 
     /// Cache hit rate in `[0, 1]` (zero when the cache was never
@@ -212,7 +244,7 @@ impl PipelineStats {
         crate::counter("pipeline.fm_constraints").add(self.fm_constraints);
         crate::counter("pipeline.lp_cache_hits").add(self.lp_cache_hits);
         crate::counter("pipeline.small_int_promotions").add(self.small_int_promotions);
-        crate::counter("pipeline.prefilter_hits").add(self.prefilter_hits);
+        crate::counter("pipeline.prefilter_hits").add(self.prefilter_hits());
         crate::counter("pipeline.lp_warm_starts").add(self.lp_warm_starts);
         crate::counter("pipeline.dual_pivots").add(self.dual_pivots);
         crate::counter("pipeline.shadow_proposals").add(self.shadow_proposals);
@@ -251,7 +283,9 @@ impl fmt::Display for PipelineStats {
         writeln!(
             f,
             "prune: {} prefilter hits, {} warm starts, {} dual pivots",
-            self.prefilter_hits, self.lp_warm_starts, self.dual_pivots
+            self.prefilter_hits(),
+            self.lp_warm_starts,
+            self.dual_pivots
         )?;
         writeln!(
             f,
@@ -263,15 +297,10 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "core: {} regions in {} rounds on {} thread(s){}, cache {}/{} ({:.0}% hit)",
+            "core: {} regions in {} rounds on {} thread(s), cache {}/{} ({:.0}% hit)",
             self.regions_explored,
             self.rounds,
             self.threads_used,
-            if self.sequential_strategy {
-                " (sequential strategy)"
-            } else {
-                ""
-            },
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             self.cache_hit_rate() * 100.0
@@ -281,5 +310,64 @@ impl fmt::Display for PipelineStats {
             "time: simplify {} us, solve {} us (prune {} us, region LPs {} us)",
             self.simplify_micros, self.solve_micros, self.prune_micros, self.region_lp_micros
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn measure_isolates_and_nests_inclusively() {
+        let (_, outer) = measure(|| {
+            record(|s| s.lp_solves += 1);
+            let ((), inner) = measure(|| record(|s| s.lp_solves += 2));
+            assert_eq!(inner.lp_solves, 2);
+            record(|s| s.flow_solves += 1);
+        });
+        assert_eq!((outer.lp_solves, outer.flow_solves), (3, 1));
+    }
+
+    #[test]
+    fn other_threads_never_leak_in() {
+        let ((), mine) = measure(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| record(|s| s.lp_pivots += 100));
+            });
+            record(|s| s.lp_pivots += 1);
+        });
+        assert_eq!(mine.lp_pivots, 1);
+    }
+
+    #[test]
+    fn unwinding_restores_the_enclosing_scope() {
+        let ((), outer) = measure(|| {
+            let caught = std::panic::catch_unwind(|| {
+                measure(|| {
+                    record(|s| s.dual_pivots += 5);
+                    panic!("boom");
+                })
+            });
+            assert!(caught.is_err());
+            record(|s| s.dual_pivots += 1);
+        });
+        assert_eq!(outer.dual_pivots, 6);
+    }
+
+    #[test]
+    fn add_sums_and_keeps_the_larger_thread_count() {
+        let mut a = PipelineStats {
+            prefilter_dedup: 1,
+            prefilter_witness: 2,
+            threads_used: 4,
+            ..PipelineStats::default()
+        };
+        a.add(&PipelineStats {
+            prefilter_interval: 3,
+            threads_used: 1,
+            ..PipelineStats::default()
+        });
+        assert_eq!(a.prefilter_hits(), 6);
+        assert_eq!(a.threads_used, 4);
     }
 }

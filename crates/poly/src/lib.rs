@@ -43,9 +43,9 @@
 #![forbid(unsafe_code)]
 
 mod bigint;
-mod counters;
 mod linear;
 mod lp;
+mod par;
 mod polyhedron;
 mod rational;
 mod reduce;
@@ -53,12 +53,12 @@ mod region;
 pub mod shadow;
 
 pub use bigint::{BigInt, ParseBigIntError};
-pub use counters::PolyStats;
 pub use linear::{Cmp, Constraint, LinExpr};
 pub use lp::{
     cache_clear as lp_cache_clear, closure_feasible, maximize as lp_maximize,
     minimize as lp_minimize, LpResult,
 };
+pub use par::{fan_out, worker_count};
 pub use polyhedron::{Polyhedron, ProjectionBudgetExceeded};
 pub use rational::{ParseRationalError, Rational};
 pub use region::Region;

@@ -62,10 +62,9 @@ pub fn enabled() -> bool {
     SHADOW_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-solve tally of shadow activity, flushed to the process-wide
-/// counters (and, in `lp.rs`, into the result cache so a cache hit
-/// replays the original solve's shadow work and the counters stay
-/// scheduling-independent).
+/// Per-solve tally of shadow activity, flushed to the work record (and,
+/// in `lp.rs`, into the result cache so a cache hit replays the original
+/// solve's shadow work and the counters stay scheduling-independent).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShadowCounts {
     /// Entering-column (or optimality) proposals the shadow made.
@@ -79,14 +78,16 @@ pub(crate) struct ShadowCounts {
 }
 
 impl ShadowCounts {
-    /// Adds the tally to the process-wide counters.
+    /// Adds the tally to the calling thread's work record.
     pub fn flush(&self) {
         if self.proposals == 0 {
             return;
         }
-        crate::counters::SHADOW_PROPOSALS.fetch_add(self.proposals, Ordering::Relaxed);
-        crate::counters::SHADOW_CERTIFIED.fetch_add(self.certified, Ordering::Relaxed);
-        crate::counters::SHADOW_FALLBACKS.fetch_add(self.fallbacks, Ordering::Relaxed);
+        offload_obs::record(|s| {
+            s.shadow_proposals += self.proposals;
+            s.shadow_certified += self.certified;
+            s.shadow_fallbacks += self.fallbacks;
+        });
     }
 }
 
